@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"sgxp2p/internal/enclave"
 	"sgxp2p/internal/telemetry"
@@ -162,21 +163,11 @@ func (s *ModelSealer) Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, 
 	return s.SealAppend(keys, dst, plaintext)
 }
 
-// SealAppend implements Sealer. The counter is shared with Seal, so mixed
-// usage stays byte-identical to an all-Seal sequence.
+// SealAppend implements Sealer. The counter is shared with Seal and with
+// every prepared link over s, so mixed usage stays byte-identical to an
+// all-Seal sequence.
 func (s *ModelSealer) SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error) {
-	s.counter++
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, s.counter)
-	dst = binary.LittleEndian.AppendUint64(dst, 0) // header padding
-	dst = append(dst, plaintext...)
-	sum := modelChecksum(keys, dst[start:])
-	// Fill the whole 32-byte tag region so flips anywhere in it are
-	// detected, as they would be against a real HMAC.
-	for i := 0; i < modelTag; i += 8 {
-		dst = binary.LittleEndian.AppendUint64(dst, sum)
-	}
-	return dst, nil
+	return newModelCipher(s, keys).sealAppend(dst, plaintext), nil
 }
 
 // Open implements Sealer.
@@ -187,18 +178,7 @@ func (s *ModelSealer) Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, err
 
 // OpenAppend implements Sealer.
 func (s *ModelSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error) {
-	if len(sealed) < modelHeader+modelTag {
-		return nil, ErrAuth
-	}
-	body := sealed[:len(sealed)-modelTag]
-	sum := modelChecksum(keys, body)
-	tag := sealed[len(body):]
-	for i := 0; i < modelTag; i += 8 {
-		if binary.LittleEndian.Uint64(tag[i:]) != sum {
-			return nil, ErrAuth
-		}
-	}
-	return append(dst, body[modelHeader:]...), nil
+	return newModelCipher(s, keys).openAppend(dst, sealed)
 }
 
 // SealedSize implements Sealer.
@@ -206,59 +186,125 @@ func (s *ModelSealer) SealedSize(plaintextLen int) int {
 	return modelHeader + plaintextLen + modelTag
 }
 
-// FNV-1a parameters of the model checksum (identical to hash/fnv's
-// 64-bit variant; hand-rolled so the MAC-key prefix state can be
-// precomputed per link).
+// Constants of the model checksum: odd 64-bit multipliers (the xxHash64
+// primes and the murmur3 finalizer constants; modelP1, modelP3 and
+// modelP4 also offset the lanes' start states) and the start state the
+// MAC key is folded from. The join's rotations are xxHash64's.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	modelP1      = 0x9E3779B185EBCA87
+	modelP2      = 0xC2B2AE3D27D4EB4F
+	modelP3      = 0x165667B19E3779F9
+	modelP4      = 0x85EBCA77C2B2AE63
+	modelFinal1  = 0xFF51AFD7ED558CCD
+	modelFinal2  = 0xC4CEB9FE1A85EC53
+	modelKeyInit = 0x27D4EB2F165667C5
 )
 
-// fnvFold folds data into an FNV-1a state, byte for byte.
-func fnvFold(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h = (h ^ uint64(b)) * fnvPrime64
+// modelStep absorbs one 8-byte word into a checksum lane: xor, multiply
+// by an odd constant, xor-shift. Each of the three is a bijection of the
+// lane, and the xor is one of the word too, so for a fixed word the step
+// is a bijection of the lane state and for a fixed state a bijection of
+// the word: two inputs differing in exactly one word leave the lane
+// different, and no later step can merge them again.
+func modelStep(h, w uint64) uint64 {
+	h = (h ^ w) * modelP2
+	return h ^ h>>29
+}
+
+// modelSum is the keyed checksum standing in for the HMAC, over an
+// envelope body: the 16-byte header, passed as its two little-endian
+// words (counter and padding), then the plaintext. The seal path thus
+// reads the plaintext from its source rather than re-reading the bytes
+// it has just copied. Four independent lanes start from seed mixed with
+// the plaintext length and fold eight bytes per step: the header words
+// open lanes 0 and 1, each 32-byte block of plaintext takes one step in
+// every lane (so the multiply chains overlap, and a long batch frame
+// runs at four words per chain step), and the last partial block takes
+// one more. The lanes join by rotate-and-add and a murmur3 avalanche
+// ends the sum. Every stage is a bijection in each value it carries
+// (the join in each lane for fixed others), so two equal-length bodies
+// that differ in a single word — every single-bit flip among them —
+// always get different sums; other differences, lengths and keys
+// collide like a 64-bit random function.
+func modelSum(seed, ctr, pad uint64, plaintext []byte) uint64 {
+	n := len(plaintext)
+	h := seed ^ uint64(n)*modelP1
+	l0, l1, l2, l3 := modelStep(h, ctr), modelStep(h^modelP1, pad), h^modelP3, h^modelP4
+	data := plaintext
+	for len(data) >= 32 {
+		l0 = modelStep(l0, binary.LittleEndian.Uint64(data))
+		l1 = modelStep(l1, binary.LittleEndian.Uint64(data[8:]))
+		l2 = modelStep(l2, binary.LittleEndian.Uint64(data[16:]))
+		l3 = modelStep(l3, binary.LittleEndian.Uint64(data[24:]))
+		data = data[32:]
 	}
-	return h
+	// The last 0–31 bytes — up to three whole words and the zero-extended
+	// tail — take one more step per lane; absent words count as zero
+	// (the length in h tells the two apart).
+	var last [4]uint64
+	i := 0
+	for ; len(data) >= 8; i++ {
+		last[i] = binary.LittleEndian.Uint64(data)
+		data = data[8:]
+	}
+	if r := len(data); r > 0 {
+		if n >= 8 {
+			// The tail is the top r bytes of the last eight: one load
+			// instead of a byte loop.
+			last[i] = binary.LittleEndian.Uint64(plaintext[n-8:]) >> (64 - 8*r)
+		} else {
+			for j, b := range data {
+				last[i] |= uint64(b) << (8 * j)
+			}
+		}
+	}
+	l0 = modelStep(l0, last[0])
+	l1 = modelStep(l1, last[1])
+	l2 = modelStep(l2, last[2])
+	l3 = modelStep(l3, last[3])
+	h = l0 + bits.RotateLeft64(l1, 7) + bits.RotateLeft64(l2, 12) + bits.RotateLeft64(l3, 18)
+	h = (h ^ h>>33) * modelFinal1
+	h = (h ^ h>>33) * modelFinal2
+	return h ^ h>>33
 }
 
-// modelChecksum computes the keyed checksum standing in for the HMAC:
-// FNV-1a over MAC key || body.
-func modelChecksum(keys xcrypto.SessionKeys, body []byte) uint64 {
-	return fnvFold(fnvFold(fnvOffset64, keys.Mac[:]), body)
-}
-
-// modelCipher is the prepared per-link state of a ModelSealer link — the
-// simulation analogue of xcrypto.LinkCipher: the FNV state after folding
-// the link's 32-byte MAC key is derived once at link establishment, so
-// every envelope checksum starts from the precomputed seed instead of
-// re-hashing the key. The envelope counter stays on the shared
-// *ModelSealer, so the envelope stream is byte-identical to the generic
-// Sealer path (pinned by the package equivalence tests).
+// modelCipher is the keyed state of a ModelSealer session — the
+// simulation analogue of xcrypto.LinkCipher, and the one place the model
+// envelope is built and checked. Links prepare one at establishment, so
+// every envelope checksum starts from the precomputed MAC-key seed
+// instead of re-folding the key; the one-shot Sealer methods build one
+// per call. The envelope counter stays on the shared *ModelSealer, so
+// both paths emit byte-identical envelope streams (pinned by the package
+// equivalence tests).
 type modelCipher struct {
-	s       *ModelSealer
-	macSeed uint64
+	s    *ModelSealer
+	seed uint64
 }
 
-func (c *modelCipher) sealAppend(dst, plaintext []byte) ([]byte, error) {
+func newModelCipher(s *ModelSealer, keys xcrypto.SessionKeys) modelCipher {
+	return modelCipher{s: s, seed: modelSum(modelKeyInit, 0, 0, keys.Mac[:])}
+}
+
+func (c modelCipher) sealAppend(dst, plaintext []byte) []byte {
 	c.s.counter++
-	start := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, c.s.counter)
 	dst = binary.LittleEndian.AppendUint64(dst, 0) // header padding
 	dst = append(dst, plaintext...)
-	sum := fnvFold(c.macSeed, dst[start:])
+	sum := modelSum(c.seed, c.s.counter, 0, plaintext)
+	// Fill the whole 32-byte tag region so flips anywhere in it are
+	// detected, as they would be against a real HMAC.
 	for i := 0; i < modelTag; i += 8 {
 		dst = binary.LittleEndian.AppendUint64(dst, sum)
 	}
-	return dst, nil
+	return dst
 }
 
-func (c *modelCipher) openAppend(dst, sealed []byte) ([]byte, error) {
+func (c modelCipher) openAppend(dst, sealed []byte) ([]byte, error) {
 	if len(sealed) < modelHeader+modelTag {
 		return nil, ErrAuth
 	}
 	body := sealed[:len(sealed)-modelTag]
-	sum := fnvFold(c.macSeed, body)
+	sum := modelSum(c.seed, binary.LittleEndian.Uint64(body), binary.LittleEndian.Uint64(body[8:]), body[modelHeader:])
 	tag := sealed[len(body):]
 	for i := 0; i < modelTag; i += 8 {
 		if binary.LittleEndian.Uint64(tag[i:]) != sum {
@@ -274,7 +320,7 @@ type Link struct {
 	// The dispatch pointers every seal/open touches lead the struct so
 	// they share the Link's first cache line: a large topology holds one
 	// Link per directed pair, and the per-envelope hot path reads only
-	// these three fields.
+	// these fields.
 	//
 	// cipher is the prepared per-link cipher state built at link
 	// establishment for RealSealer links: the AES key schedule and the
@@ -283,16 +329,19 @@ type Link struct {
 	// shared through the enclave key cache.
 	cipher *xcrypto.LinkCipher
 	// model is the prepared per-link state for *ModelSealer links (the
-	// precomputed MAC-key FNV seed), nil otherwise.
-	model *modelCipher
+	// precomputed MAC-key checksum seed; model.s is nil otherwise), held
+	// by value so a seal or open does not chase a second pointer.
+	model modelCipher
 	// ctr, when non-nil, tallies seal/open traffic. Every seal and open
 	// funnels through sealAppend/openAppend, so counting there covers all
 	// entry points.
 	ctr    *Counters
 	local  wire.NodeID
 	remote wire.NodeID
-	keys   xcrypto.SessionKeys
+	// sealer sizes every envelope (SealEncodedAppend) and seals or opens
+	// when the link has no prepared state.
 	sealer Sealer
+	keys   xcrypto.SessionKeys
 }
 
 // SetCounters attaches metric counters to the link (nil detaches them).
@@ -318,7 +367,7 @@ func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.Publ
 		}
 	}
 	if ms, ok := sealer.(*ModelSealer); ok {
-		l.model = &modelCipher{s: ms, macSeed: fnvFold(fnvOffset64, keys.Mac[:])}
+		l.model = newModelCipher(ms, keys)
 	}
 	return l, nil
 }
@@ -331,8 +380,8 @@ func (l *Link) sealAppend(dst, plaintext []byte) ([]byte, error) {
 	switch {
 	case l.cipher != nil:
 		out, err = l.cipher.SealAppend(dst, nil, plaintext)
-	case l.model != nil:
-		out, err = l.model.sealAppend(dst, plaintext)
+	case l.model.s != nil:
+		out = l.model.sealAppend(dst, plaintext)
 	default:
 		out, err = l.sealer.SealAppend(l.keys, dst, plaintext)
 	}
@@ -353,7 +402,7 @@ func (l *Link) openAppend(dst, sealed []byte) ([]byte, error) {
 		if err != nil {
 			err = ErrAuth
 		}
-	case l.model != nil:
+	case l.model.s != nil:
 		out, err = l.model.openAppend(dst, sealed)
 	default:
 		out, err = l.sealer.OpenAppend(l.keys, dst, sealed)

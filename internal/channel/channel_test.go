@@ -303,6 +303,33 @@ func BenchmarkModelSealOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkModelSealOpenBatch seals and opens a ~2 KB batch frame (the
+// multiplexed runtime's frame shape) over a model-sealer link pair.
+func BenchmarkModelSealOpenBatch(b *testing.B) {
+	e := pairedEnclaves(b)
+	la, err := NewLink(e[0], 1, e[1].DHPublic(), NewModelSealer())
+	if err != nil {
+		b.Fatal(err)
+	}
+	lb, err := NewLink(e[1], 0, e[0].DHPublic(), NewModelSealer())
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := testBatchFrame(b)
+	var env, plain []byte
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if env, err = la.SealBatchAppend(env[:0], frame); err != nil {
+			b.Fatal(err)
+		}
+		if plain, err = lb.OpenRawAppend(plain[:0], env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRealSealOpen(b *testing.B) {
 	clock := &fakeClock{}
 	a, _ := enclave.Launch(program, 0, rand.New(rand.NewSource(1)), clock)

@@ -56,8 +56,15 @@ func FuzzRealSealerOpen(f *testing.F) {
 	fuzzSealerOpen(f, func() Sealer { return RealSealer{} })
 }
 
-// FuzzModelSealerOpen fuzzes the simulation-mode open path the same way.
+// FuzzModelSealerOpen fuzzes the simulation-mode open path the same way,
+// with a sealed ~2 KB batch frame among the seeds so mutations reach the
+// checksum's four-lane block loop.
 func FuzzModelSealerOpen(f *testing.F) {
+	frame, err := NewModelSealer().Seal(fuzzKeys(), testBatchFrame(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
 	fuzzSealerOpen(f, func() Sealer { return NewModelSealer() })
 }
 

@@ -133,23 +133,19 @@ func (m *Mux) Spawn(windowRounds int, build func(*Instance) (Protocol, error)) (
 	return it, nil
 }
 
-// PlannedRounds simulates the admission schedule over the current backlog
-// and running set and returns the last round any instance occupies — the
-// round count to pass to Peer.Start so every spawned instance gets its
-// full window. The simulation replays exactly what OnRound will do
-// (retire, then admit FIFO under MaxInFlight), so plan and execution
-// cannot drift.
+// PlannedRounds simulates the admission schedule of the run Peer.Start is
+// about to begin — from round 1, since Start resets the peer's round
+// counter — over the current backlog and returns the last round any
+// instance occupies: the round count to pass to Peer.Start so every
+// spawned instance gets its full window. The simulation replays exactly
+// what OnRound will do (retire, then admit FIFO under MaxInFlight), so
+// plan and execution cannot drift, and a standing peer's later mux runs
+// plan the same rounds as its first.
 func (m *Mux) PlannedRounds() int {
 	last := uint32(0)
 	var ends []uint32
-	for _, it := range m.running {
-		ends = append(ends, it.endRound)
-		if it.endRound > last {
-			last = it.endRound
-		}
-	}
 	backlog := m.backlog
-	for rnd := m.peer.Round() + 1; len(backlog) > 0; rnd++ {
+	for rnd := uint32(1); len(backlog) > 0; rnd++ {
 		kept := ends[:0]
 		for _, end := range ends {
 			if rnd <= end {

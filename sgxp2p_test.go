@@ -1,7 +1,9 @@
 package sgxp2p_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"sgxp2p"
 )
@@ -258,6 +260,49 @@ func TestClusterBroadcastMany(t *testing.T) {
 	for id, r := range after {
 		if !r.Accepted {
 			t.Fatalf("post-mux broadcast rejected at node %d", id)
+		}
+	}
+}
+
+// TestClusterBroadcastManyRepeats checks that successive BroadcastMany
+// calls on one standing cluster are alike: each occupies the same virtual
+// time (the mux plans every run from round 1, not from where the previous
+// run's round counter stopped) and decides every request at round 2.
+func TestClusterBroadcastManyRepeats(t *testing.T) {
+	const n = 7
+	c, err := sgxp2p.NewCluster(sgxp2p.Options{N: n, T: 3, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first time.Duration
+	for call := 0; call < 4; call++ {
+		reqs := make([]sgxp2p.BroadcastRequest, 10)
+		for j := range reqs {
+			reqs[j] = sgxp2p.BroadcastRequest{
+				Initiator: sgxp2p.NodeID((call + j) % n),
+				Value:     sgxp2p.ValueFromString(fmt.Sprintf("call %d req %d", call, j)),
+			}
+		}
+		start := c.Now()
+		results, err := c.BroadcastMany(reqs, sgxp2p.MuxOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := c.Now() - start
+		if call == 0 {
+			first = took
+		} else if took != first {
+			t.Fatalf("call %d occupied %v of virtual time, call 0 %v", call, took, first)
+		}
+		for j, res := range results {
+			if len(res) != n {
+				t.Fatalf("call %d request %d decided at %d nodes, want %d", call, j, len(res), n)
+			}
+			for id, r := range res {
+				if !r.Accepted || r.Value != reqs[j].Value || r.Round != 2 {
+					t.Fatalf("call %d request %d node %d: %+v, want accepted at round 2", call, j, id, r)
+				}
+			}
 		}
 	}
 }
