@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race chaos lint obs-smoke scenario-smoke obs-live-smoke verify bench bench-telemetry bench-coalesce bench-mux bench-obsplane benchsmoke clean
+.PHONY: build test vet race chaos perfbench-check lint obs-smoke scenario-smoke obs-live-smoke verify bench bench-telemetry bench-coalesce bench-mux bench-obsplane benchsmoke clean
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ race:
 # print the seed to replay with `p2pexp -experiment chaos -chaos-seed`.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/...
+
+# perfbench-check vets and tests the benchmark harness. perfbench is its
+# own Go module (it pins the end-to-end workloads in BENCHMARK.json), so
+# the root module's build, vet and test never compile it; a rename in
+# channel or runtime that breaks it would otherwise first show up in a
+# benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # benchsmoke compiles and runs every benchmark for a single iteration so
 # a broken benchmark cannot sit undetected until the next bench run.
@@ -92,11 +101,11 @@ obs-live-smoke:
 	$(GO) run ./cmd/p2ptrace -spans "$$dir"/*/streamed.jsonl
 
 # verify is the tier-1 gate: build, vet, full test suite, race subset,
-# chaos fault-injection suite, one-iteration benchmark smoke run, the
-# project lint battery, the traced-replay determinism smoke, the
-# multi-process scenario smoke, and the live-streaming observability
-# smoke.
-verify: build vet test race chaos benchsmoke lint obs-smoke scenario-smoke obs-live-smoke
+# chaos fault-injection suite, the benchmark harness's vet and tests,
+# one-iteration benchmark smoke run, the project lint battery, the
+# traced-replay determinism smoke, the multi-process scenario smoke,
+# and the live-streaming observability smoke.
+verify: build vet test race chaos perfbench-check benchsmoke lint obs-smoke scenario-smoke obs-live-smoke
 
 # bench regenerates BENCH_setup.json: setup/broadcast microbenchmarks plus
 # the fig2a/fig2b sweeps (ns/op and allocs/op) via cmd/p2pbench.
@@ -112,11 +121,11 @@ bench-telemetry:
 		-baseline BENCH_pretelemetry.json -o BENCH_telemetry.json
 
 # bench-coalesce re-measures the frame-coalescing artifact: the ERB
-# broadcast benchmarks, batched and unbatched, at N=64 and N=512,
-# best-of-5, diffed against the pre-coalescing baseline
-# (BENCH_telemetry.json). The snapshot carries both comparisons the
-# coalescing PR is judged on: same-binary batched-vs-unbatched (the
-# *_nobatch rows) and batched-vs-pre-PR (the embedded comparison block).
+# broadcast benchmarks at N=64 and N=512, best-of-5, diffed against the
+# pre-coalescing baseline (BENCH_telemetry.json) in the snapshot's
+# embedded comparison block. They have no unbatched twin: a single
+# initiator's frames are all singletons, identical in both modes (the
+# live ablation is bench-mux's nobatch row).
 bench-coalesce:
 	$(GO) run ./cmd/p2pbench -count 5 -bench cluster_broadcast \
 		-baseline BENCH_telemetry.json -o BENCH_coalesce.json

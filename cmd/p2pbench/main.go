@@ -149,14 +149,12 @@ func run(args []string) error {
 	}
 	// broadcast measures a full ERB broadcast on a standing cluster —
 	// the protocol hot loop the round-scoped frame coalescing targets.
-	// The nobatch variants run the identical workload with coalescing
-	// off, so a snapshot carries the batched-vs-unbatched delta for the
-	// same binary.
-	broadcast := func(n, t int, disableBatching bool) func(b *testing.B) {
+	// It has no unbatched twin: a single initiator's frames are all
+	// singletons, which go out byte-identical with coalescing off (the
+	// cluster_mux_nobatch rows carry the live ablation).
+	broadcast := func(n, t int) func(b *testing.B) {
 		return func(b *testing.B) {
-			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{
-				N: n, T: t, Seed: 1, DisableBatching: disableBatching,
-			})
+			cluster, err := sgxp2p.NewCluster(sgxp2p.Options{N: n, T: t, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -384,10 +382,8 @@ func run(args []string) error {
 				}
 			}
 		}},
-		{"cluster_broadcast_n64", broadcast(64, 31, false)},
-		{"cluster_broadcast_n64_nobatch", broadcast(64, 31, true)},
-		{"cluster_broadcast_n512", broadcast(512, 255, false)},
-		{"cluster_broadcast_n512_nobatch", broadcast(512, 255, true)},
+		{"cluster_broadcast_n64", broadcast(64, 31)},
+		{"cluster_broadcast_n512", broadcast(512, 255)},
 		// The instances sweep: same cluster, growing concurrency. The
 		// headline count is -instances; the serial and nobatch rows at that
 		// count are the two comparisons BENCH_mux.json is judged on.
@@ -491,8 +487,10 @@ func run(args []string) error {
 
 // benchSealOpenHot measures the steady-state per-message cost of a live
 // RealSealer link: encode once, seal with the prepared per-link cipher
-// into a warm envelope buffer, open on the peer side into a warm scratch.
-// This is the per-hop unit of work every multicast fans out N-1 times.
+// into a warm envelope buffer, then the runtime's receive sequence on the
+// peer side — open into a warm scratch, decode into a reused message,
+// check the sender. This is the per-hop unit of work every multicast
+// fans out N-1 times.
 func benchSealOpenHot(b *testing.B) {
 	clock := enclave.NewWallClock()
 	ea, err := enclave.Launch(deploy.DefaultProgram, 0, rand.Reader, clock)
@@ -517,6 +515,7 @@ func benchSealOpenHot(b *testing.B) {
 		Value: sgxp2p.ValueFromString("hot path"),
 	}
 	var encodeBuf, env, scratch []byte
+	var got wire.Message
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -528,8 +527,14 @@ func benchSealOpenHot(b *testing.B) {
 		if env, err = la.SealEncodedAppend(env[:0], encoded); err != nil {
 			b.Fatal(err)
 		}
-		if _, scratch, err = lb.OpenEncodedAppend(scratch[:0], env); err != nil {
+		if scratch, err = lb.OpenRawAppend(scratch[:0], env); err != nil {
 			b.Fatal(err)
+		}
+		if err = wire.DecodeInto(&got, scratch); err != nil {
+			b.Fatal(err)
+		}
+		if got.Sender != 0 {
+			b.Fatalf("opened a message from %d on the link to 0", got.Sender)
 		}
 	}
 }

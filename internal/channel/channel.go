@@ -5,14 +5,16 @@
 // measurement-bound key derivation — the program-binding half of P1.
 //
 // A Link corresponds to one (sender, receiver) enclave pair after the
-// setup phase: it owns the directional session keys derived from the
-// Diffie-Hellman exchange and turns wire.Message values into sealed
+// setup phase: built from the directional session keys derived from the
+// Diffie-Hellman exchange, it turns encoded wire messages into sealed
 // envelopes and back. Everything that crosses the trust boundary to the
 // untrusted OS is a sealed envelope: the adversary can drop, hold,
 // duplicate or corrupt envelopes but cannot read or forge them, which is
 // exactly the reduction of Theorem A.2 (byzantine => replay/omit/delay).
 //
-// Sealing is pluggable via the Sealer interface:
+// A Link has one seal and one open operation (SealEncodedAppend,
+// OpenRawAppend), both running on per-link state its Sealer prepares
+// once in NewLink:
 //
 //   - RealSealer computes the actual AES-CTR + HMAC-SHA256 composition of
 //     the paper and is used in unit tests and the live TCP deployment.
@@ -61,79 +63,42 @@ func NewCounters(m *telemetry.Metrics) *Counters {
 	}
 }
 
-// Errors returned when opening envelopes.
-var (
-	// ErrAuth indicates an envelope that failed authentication: tampered,
-	// replayed from a different pair, or produced by a different program.
-	ErrAuth = errors.New("channel: envelope authentication failed")
-	// ErrSenderMismatch indicates a structurally valid message whose
-	// Sender field does not match the link's remote peer. With honest
-	// enclaves this cannot happen; it guards protocol invariants.
-	ErrSenderMismatch = errors.New("channel: sender does not match link peer")
-)
+// ErrAuth indicates an envelope that failed authentication: tampered,
+// replayed from a different pair, or produced by a different program.
+var ErrAuth = errors.New("channel: envelope authentication failed")
 
-// Sealer converts plaintext to sealed envelopes under session keys.
-// Implementations must be deterministic in size: SealedSize(n) bytes for
-// an n-byte plaintext.
-//
-// The append-style variants are the hot path: they write into a
-// caller-provided buffer so a warm caller seals and opens without
-// allocating. For any sealer state, SealAppend must append exactly the
-// bytes Seal would return, and OpenAppend must accept and reject exactly
-// the envelopes Open would (pinned by the package equivalence tests).
+// envelopeOverhead is the bytes an envelope adds to its plaintext: the
+// 16-byte header (AES-CTR nonce, or the model's counter and padding) and
+// the 32-byte tag. Both sealers share the geometry, so sizing an
+// envelope needs no sealer.
+const envelopeOverhead = xcrypto.NonceSize + xcrypto.MACSize
+
+// Sealer selects a Link's envelope construction. NewLink asks it once to
+// prepare the link's per-envelope state; every seal and open after that
+// runs on the prepared state alone. The unexported method closes the
+// interface: RealSealer and *ModelSealer are its only implementations.
 type Sealer interface {
-	// Seal produces the envelope.
-	Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, error)
-	// Open verifies and recovers the plaintext, returning an error for
-	// any envelope not produced under keys.
-	Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, error)
 	// SealedSize returns the envelope size for a plaintext length.
 	SealedSize(plaintextLen int) int
-	// SealAppend appends the envelope for plaintext to dst and returns
-	// the extended slice.
-	SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error)
-	// OpenAppend appends the recovered plaintext to dst and returns the
-	// extended slice; dst is untouched when verification fails.
-	OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error)
+	// prepare installs the sealer's prepared state on l.
+	prepare(l *Link, keys xcrypto.SessionKeys) error
 }
 
 // RealSealer performs genuine AES-256-CTR encryption with an HMAC-SHA256
 // tag (encrypt-then-MAC), the composition proven secure in Theorem A.1.
 type RealSealer struct{}
 
-// Seal implements Sealer.
-func (RealSealer) Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, error) {
-	return xcrypto.Seal(keys, nil, plaintext)
-}
-
-// Open implements Sealer.
-func (RealSealer) Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, error) {
-	out, err := xcrypto.Open(keys, sealed)
-	if err != nil {
-		return nil, ErrAuth
-	}
-	return out, nil
-}
-
 // SealedSize implements Sealer.
 func (RealSealer) SealedSize(plaintextLen int) int {
 	return xcrypto.SealedSize(plaintextLen)
 }
 
-// SealAppend implements Sealer. Links established with a RealSealer do
-// not call it — they hold a prepared xcrypto.LinkCipher and skip the
-// per-envelope key-schedule rebuild this one-shot form pays.
-func (RealSealer) SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error) {
-	return xcrypto.SealAppend(keys, nil, dst, plaintext)
-}
-
-// OpenAppend implements Sealer.
-func (RealSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error) {
-	out, err := xcrypto.OpenAppend(keys, dst, sealed)
-	if err != nil {
-		return nil, ErrAuth
-	}
-	return out, nil
+// prepare derives the link's AES key schedule and HMAC pads once, so no
+// envelope pays for them.
+func (RealSealer) prepare(l *Link, keys xcrypto.SessionKeys) error {
+	c, err := xcrypto.NewLinkCipher(keys)
+	l.cipher = c
+	return err
 }
 
 // ModelSealer is the simulation-mode sealer: identical envelope geometry
@@ -145,6 +110,10 @@ func (RealSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]by
 // the trust boundary is the adversary package, whose API operates on
 // opaque envelopes. A corrupted, cross-pair or wrong-program envelope is
 // rejected exactly as the RealSealer would reject it.
+//
+// The envelope counter lives here, shared by every link prepared from
+// the same *ModelSealer, so a peer's envelope stream is numbered in
+// send order across all of its links.
 type ModelSealer struct {
 	counter uint64
 }
@@ -153,37 +122,19 @@ type ModelSealer struct {
 func NewModelSealer() *ModelSealer { return &ModelSealer{} }
 
 const (
-	modelHeader = 16
-	modelTag    = 32
+	modelHeader = xcrypto.NonceSize
+	modelTag    = xcrypto.MACSize
 )
-
-// Seal implements Sealer.
-func (s *ModelSealer) Seal(keys xcrypto.SessionKeys, plaintext []byte) ([]byte, error) {
-	dst := make([]byte, 0, modelHeader+len(plaintext)+modelTag)
-	return s.SealAppend(keys, dst, plaintext)
-}
-
-// SealAppend implements Sealer. The counter is shared with Seal and with
-// every prepared link over s, so mixed usage stays byte-identical to an
-// all-Seal sequence.
-func (s *ModelSealer) SealAppend(keys xcrypto.SessionKeys, dst, plaintext []byte) ([]byte, error) {
-	return newModelCipher(s, keys).sealAppend(dst, plaintext), nil
-}
-
-// Open implements Sealer.
-func (s *ModelSealer) Open(keys xcrypto.SessionKeys, sealed []byte) ([]byte, error) {
-	// Return a copy: envelopes may be aliased by replaying adversaries.
-	return s.OpenAppend(keys, nil, sealed)
-}
-
-// OpenAppend implements Sealer.
-func (s *ModelSealer) OpenAppend(keys xcrypto.SessionKeys, dst, sealed []byte) ([]byte, error) {
-	return newModelCipher(s, keys).openAppend(dst, sealed)
-}
 
 // SealedSize implements Sealer.
 func (s *ModelSealer) SealedSize(plaintextLen int) int {
 	return modelHeader + plaintextLen + modelTag
+}
+
+// prepare folds the link's MAC key into the checksum seed once.
+func (s *ModelSealer) prepare(l *Link, keys xcrypto.SessionKeys) error {
+	l.model = modelCipher{s: s, seed: modelSum(modelKeyInit, 0, 0, keys.Mac[:])}
+	return nil
 }
 
 // Constants of the model checksum: odd 64-bit multipliers (the xxHash64
@@ -268,21 +219,14 @@ func modelSum(seed, ctr, pad uint64, plaintext []byte) uint64 {
 	return h ^ h>>33
 }
 
-// modelCipher is the keyed state of a ModelSealer session — the
+// modelCipher is the prepared state of a ModelSealer link — the
 // simulation analogue of xcrypto.LinkCipher, and the one place the model
-// envelope is built and checked. Links prepare one at establishment, so
-// every envelope checksum starts from the precomputed MAC-key seed
-// instead of re-folding the key; the one-shot Sealer methods build one
-// per call. The envelope counter stays on the shared *ModelSealer, so
-// both paths emit byte-identical envelope streams (pinned by the package
-// equivalence tests).
+// envelope is built and checked. Every envelope checksum starts from the
+// precomputed MAC-key seed instead of re-folding the key; the envelope
+// counter stays on the shared *ModelSealer.
 type modelCipher struct {
 	s    *ModelSealer
 	seed uint64
-}
-
-func newModelCipher(s *ModelSealer, keys xcrypto.SessionKeys) modelCipher {
-	return modelCipher{s: s, seed: modelSum(modelKeyInit, 0, 0, keys.Mac[:])}
 }
 
 func (c modelCipher) sealAppend(dst, plaintext []byte) []byte {
@@ -315,43 +259,31 @@ func (c modelCipher) openAppend(dst, sealed []byte) ([]byte, error) {
 }
 
 // Link is one direction-agnostic secure channel between the local enclave
-// and one remote peer, established during the setup phase.
+// and one remote peer, established during the setup phase. It holds only
+// the state its sealer prepared in NewLink — never the session keys — so
+// it fits one cache line: a large topology holds one Link per directed
+// pair.
 type Link struct {
-	// The dispatch pointers every seal/open touches lead the struct so
-	// they share the Link's first cache line: a large topology holds one
-	// Link per directed pair, and the per-envelope hot path reads only
-	// these fields.
-	//
-	// cipher is the prepared per-link cipher state built at link
-	// establishment for RealSealer links: the AES key schedule and the
-	// HMAC pads are derived once here instead of on every envelope.
-	// Stateful (scratch blocks, HMAC state), hence per-link and never
-	// shared through the enclave key cache.
+	// cipher is the prepared AES+HMAC state of a RealSealer link: the key
+	// schedule and HMAC pads, derived once. Stateful (scratch blocks,
+	// HMAC state), hence per-link and never shared through the enclave
+	// key cache. Nil on a model link.
 	cipher *xcrypto.LinkCipher
-	// model is the prepared per-link state for *ModelSealer links (the
-	// precomputed MAC-key checksum seed; model.s is nil otherwise), held
-	// by value so a seal or open does not chase a second pointer.
+	// model is the prepared state of a *ModelSealer link (model.s is nil
+	// on a real link), held by value so a seal or open does not chase a
+	// second pointer.
 	model modelCipher
-	// ctr, when non-nil, tallies seal/open traffic. Every seal and open
-	// funnels through sealAppend/openAppend, so counting there covers all
-	// entry points.
-	ctr    *Counters
-	local  wire.NodeID
-	remote wire.NodeID
-	// sealer sizes every envelope (SealEncodedAppend) and seals or opens
-	// when the link has no prepared state.
-	sealer Sealer
-	keys   xcrypto.SessionKeys
+	// ctr, when non-nil, tallies seal/open traffic.
+	ctr *Counters
 }
 
 // SetCounters attaches metric counters to the link (nil detaches them).
 func (l *Link) SetCounters(c *Counters) { l.ctr = c }
 
 // NewLink derives the session keys with the remote enclave's public key
-// and returns the established link. It fails if the local enclave has
-// halted. For the real AES+HMAC sealer the per-link cipher state is
-// prepared here, once, so every later seal and open skips the key
-// schedule and HMAC pad derivation.
+// and returns the established link, its sealer's per-link state prepared
+// once so that every later seal and open skips the key derivations. It
+// fails if the local enclave has halted.
 func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.PublicKeySize]byte, sealer Sealer) (*Link, error) {
 	if sealer == nil {
 		return nil, errors.New("channel: nil sealer")
@@ -360,30 +292,34 @@ func NewLink(local *enclave.Enclave, remote wire.NodeID, remotePub [xcrypto.Publ
 	if err != nil {
 		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
-	l := &Link{local: local.ID(), remote: remote, keys: keys, sealer: sealer}
-	if _, ok := sealer.(RealSealer); ok {
-		if l.cipher, err = xcrypto.NewLinkCipher(keys); err != nil {
-			return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
-		}
-	}
-	if ms, ok := sealer.(*ModelSealer); ok {
-		l.model = newModelCipher(ms, keys)
+	l := &Link{}
+	if err := sealer.prepare(l, keys); err != nil {
+		return nil, fmt.Errorf("channel: link to %d: %w", remote, err)
 	}
 	return l, nil
 }
 
-// sealAppend appends the envelope for plaintext to dst via the prepared
-// cipher when the link has one, the sealer otherwise.
-func (l *Link) sealAppend(dst, plaintext []byte) ([]byte, error) {
+// SealEncodedAppend seals an encoded message or batch container for the
+// remote peer, appending the envelope to dst. A message sent to N-1
+// destinations is encoded once by the runtime and sealed per link. dst is
+// pre-grown to the exact envelope size, so sealing into a nil dst costs
+// one exactly-sized allocation and sealing into a warm buffer costs none.
+// The runtime seals every envelope into one reused per-peer scratch
+// buffer — the Transport.Send contract makes the payload valid only
+// during the call, and transports that keep envelopes (queues,
+// adversarial holds) copy them.
+func (l *Link) SealEncodedAppend(dst, encoded []byte) ([]byte, error) {
+	if need := len(encoded) + envelopeOverhead; cap(dst)-len(dst) < need {
+		grown := make([]byte, len(dst), len(dst)+need)
+		copy(grown, dst)
+		dst = grown
+	}
 	var out []byte
 	var err error
-	switch {
-	case l.cipher != nil:
-		out, err = l.cipher.SealAppend(dst, nil, plaintext)
-	case l.model.s != nil:
-		out = l.model.sealAppend(dst, plaintext)
-	default:
-		out, err = l.sealer.SealAppend(l.keys, dst, plaintext)
+	if l.cipher != nil {
+		out, err = l.cipher.SealAppend(dst, nil, encoded)
+	} else {
+		out = l.model.sealAppend(dst, encoded)
 	}
 	if err == nil && l.ctr != nil {
 		l.ctr.Seals.Inc()
@@ -392,20 +328,23 @@ func (l *Link) sealAppend(dst, plaintext []byte) ([]byte, error) {
 	return out, err
 }
 
-// openAppend appends the verified plaintext of sealed to dst.
-func (l *Link) openAppend(dst, sealed []byte) ([]byte, error) {
+// OpenRawAppend verifies and decrypts an envelope from the remote peer
+// without interpreting the plaintext, appending it to dst; dst is
+// untouched on failure, and any failure means the envelope must be
+// treated as an omission (Theorem A.2, step 1). The receive path opens
+// into a reused per-peer scratch, then dispatches on the plaintext's
+// first byte — a batch container is unbatched entry by entry, a bare
+// message decoded directly — and checks every decoded message's Sender
+// against the link's remote peer itself.
+func (l *Link) OpenRawAppend(dst, sealed []byte) ([]byte, error) {
 	var out []byte
 	var err error
-	switch {
-	case l.cipher != nil:
-		out, err = l.cipher.OpenAppend(dst, sealed)
-		if err != nil {
+	if l.cipher != nil {
+		if out, err = l.cipher.OpenAppend(dst, sealed); err != nil {
 			err = ErrAuth
 		}
-	case l.model.s != nil:
+	} else {
 		out, err = l.model.openAppend(dst, sealed)
-	default:
-		out, err = l.sealer.OpenAppend(l.keys, dst, sealed)
 	}
 	if l.ctr != nil {
 		if err != nil {
@@ -415,112 +354,7 @@ func (l *Link) openAppend(dst, sealed []byte) ([]byte, error) {
 			l.ctr.OpenedBytes.Add(uint64(len(out) - len(dst)))
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Remote returns the peer on the far side of the link.
-func (l *Link) Remote() wire.NodeID { return l.remote }
-
-// Seal encodes and seals a protocol message for the remote peer.
-func (l *Link) Seal(msg *wire.Message) ([]byte, error) {
-	plaintext, err := msg.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("channel: encode: %w", err)
-	}
-	return l.SealEncodedAppend(nil, plaintext)
-}
-
-// SealEncoded seals an already-encoded message for the remote peer. It is
-// the multicast hot path: a message sent to N-1 destinations is encoded
-// once by the runtime and sealed per link, instead of being re-encoded
-// inside every Seal. The envelope is byte-identical to Seal(msg) for the
-// same sealer state (proven by the package's equivalence tests).
-func (l *Link) SealEncoded(encoded []byte) ([]byte, error) {
-	return l.SealEncodedAppend(nil, encoded)
-}
-
-// SealEncodedAppend is SealEncoded appending the envelope to dst. It
-// pre-grows dst to the exact envelope size, so sealing into a nil dst
-// costs one exactly-sized allocation and sealing into a warm buffer
-// costs none; the envelope bytes are identical to SealEncoded for the
-// same sealer state. The runtime seals every envelope into one reused
-// per-peer scratch buffer — the Transport.Send contract makes the
-// payload valid only during the call, and transports that keep
-// envelopes (queues, adversarial holds) copy them.
-func (l *Link) SealEncodedAppend(dst, encoded []byte) ([]byte, error) {
-	if need := l.sealer.SealedSize(len(encoded)); cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	return l.sealAppend(dst, encoded)
-}
-
-// SealBatchAppend seals a wire batch container (wire.AppendBatchEntry)
-// for the remote peer, appending the envelope to dst. The container is
-// opaque plaintext to the channel, so this is SealEncodedAppend under a
-// name marking the coalesced-outbox entry point: one seal pass covers
-// every message in the batch.
-func (l *Link) SealBatchAppend(dst, batch []byte) ([]byte, error) {
-	return l.SealEncodedAppend(dst, batch)
-}
-
-// OpenRawAppend verifies and decrypts an envelope without interpreting
-// the plaintext, appending it to dst. The runtime's receive path opens
-// raw first, then dispatches on the plaintext's first byte: a batch
-// container is unbatched entry by entry, a bare message is decoded
-// directly — with the per-message decode and sender checks applied by
-// the caller either way (wire.Decode plus a Sender == Remote() check,
-// exactly what OpenEncodedAppend enforces).
-func (l *Link) OpenRawAppend(dst, sealed []byte) ([]byte, error) {
-	return l.openAppend(dst, sealed)
-}
-
-// Open verifies, decrypts and decodes an envelope received from the remote
-// peer. Any failure means the envelope must be treated as an omission
-// (Theorem A.2, step 1).
-func (l *Link) Open(sealed []byte) (*wire.Message, error) {
-	msg, _, err := l.OpenEncoded(sealed)
-	return msg, err
-}
-
-// OpenEncoded is Open returning the decoded message together with its
-// encoded plaintext. The receive path uses the plaintext to compute the
-// ACK digest H(val) directly, instead of re-encoding the message it just
-// decoded.
-func (l *Link) OpenEncoded(sealed []byte) (*wire.Message, []byte, error) {
-	return l.OpenEncodedAppend(nil, sealed)
-}
-
-// OpenEncodedAppend is OpenEncoded decrypting into dst: the returned
-// plaintext is dst extended by the envelope's payload bytes. The receive
-// hot path passes a per-peer scratch buffer (sliced to length 0), so a
-// warm receive verifies, decrypts and digests without allocating the
-// plaintext. The returned plaintext aliases dst's backing array and is
-// only valid until the buffer's next use; the decoded message owns no
-// part of it.
-func (l *Link) OpenEncodedAppend(dst, sealed []byte) (*wire.Message, []byte, error) {
-	plaintext, err := l.openAppend(dst, sealed)
-	if err != nil {
-		return nil, nil, err
-	}
-	msg, err := wire.Decode(plaintext[len(dst):])
-	if err != nil {
-		return nil, nil, fmt.Errorf("channel: decode: %w", err)
-	}
-	if msg.Sender != l.remote {
-		return nil, nil, ErrSenderMismatch
-	}
-	return msg, plaintext, nil
-}
-
-// SealedMessageSize returns the on-wire envelope size for a message,
-// letting callers budget traffic without sealing.
-func (l *Link) SealedMessageSize(msg *wire.Message) int {
-	return l.sealer.SealedSize(msg.EncodedSize())
+	return out, err
 }
 
 // FrameTag returns the link-unique identifier of a sealed envelope: the

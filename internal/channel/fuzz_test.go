@@ -17,15 +17,34 @@ func fuzzKeys() xcrypto.SessionKeys {
 	return keys
 }
 
-// fuzzSealerOpen feeds arbitrary bytes to a sealer's Open and OpenAppend:
-// neither may panic, both must agree on accept/reject and plaintext, and
-// any accepted input must re-seal to the same size class. The Theorem A.2
-// reduction (byzantine => omission) depends on corrupt envelopes being
-// *rejected*, never crashing the enclave runtime.
-func fuzzSealerOpen(f *testing.F, mk func() Sealer) {
-	keys := fuzzKeys()
-	seedSealer := mk()
-	valid, err := seedSealer.Seal(keys, []byte("fuzz seed payload"))
+// fuzzSealerOpen feeds arbitrary bytes to a link's OpenRawAppend: it may
+// not panic, a rejected input must leave dst untouched, and an accepted
+// one must append exactly the envelope's body to dst and agree with the
+// sealer's reference opening. The Theorem A.2 reduction (byzantine =>
+// omission) depends on corrupt envelopes being *rejected*, never crashing
+// the enclave runtime.
+func fuzzSealerOpen(f *testing.F, mk func() Sealer, seeds ...[]byte) {
+	e := pairedEnclaves(f)
+	la, err := NewLink(e[0], 1, e[1].DHPublic(), mk())
+	if err != nil {
+		f.Fatal(err)
+	}
+	lb, err := NewLink(e[1], 0, e[0].DHPublic(), mk())
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys, err := e[1].SessionKeys(e[0].DHPublic())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, plaintext := range seeds {
+		env, err := la.SealEncodedAppend(nil, plaintext)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+	}
+	valid, err := la.SealEncodedAppend(nil, []byte("fuzz seed payload"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,15 +56,30 @@ func fuzzSealerOpen(f *testing.F, mk func() Sealer) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)                        // bit-flipped body
 	f.Add(bytes.Repeat([]byte{0xFF}, 48)) // minimum-size garbage
-	sealer := mk()
+	_, real := mk().(RealSealer)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		viaOpen, errOpen := sealer.Open(keys, data)
-		viaAppend, errAppend := sealer.OpenAppend(keys, nil, data)
-		if (errOpen == nil) != (errAppend == nil) {
-			t.Fatalf("Open err=%v but OpenAppend err=%v", errOpen, errAppend)
+		dst := []byte("keep")
+		out, err := lb.OpenRawAppend(dst, data)
+		if err != nil {
+			if out != nil || string(dst) != "keep" {
+				t.Fatalf("rejected open returned %q and left dst %q", out, dst)
+			}
+		} else if len(out) != len(dst)+len(data)-envelopeOverhead || string(out[:len(dst)]) != "keep" {
+			t.Fatalf("accepted open appended %d bytes after %q, want %d", len(out)-len(dst), out[:len(dst)], len(data)-envelopeOverhead)
 		}
-		if errOpen == nil && !bytes.Equal(viaOpen, viaAppend) {
-			t.Fatal("Open and OpenAppend recovered different plaintexts")
+		// The reference: the one-shot xcrypto.Open under the link's keys
+		// for a real link; for a model link, the plaintext the envelope
+		// carries in the clear.
+		if real {
+			want, werr := xcrypto.Open(keys, data)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("link open err=%v but xcrypto.Open err=%v", err, werr)
+			}
+			if err == nil && !bytes.Equal(out[len(dst):], want) {
+				t.Fatal("link open and xcrypto.Open recovered different plaintexts")
+			}
+		} else if err == nil && !bytes.Equal(out[len(dst):], data[modelHeader:len(data)-modelTag]) {
+			t.Fatal("model open recovered bytes other than the envelope body")
 		}
 	})
 }
@@ -60,12 +94,7 @@ func FuzzRealSealerOpen(f *testing.F) {
 // with a sealed ~2 KB batch frame among the seeds so mutations reach the
 // checksum's four-lane block loop.
 func FuzzModelSealerOpen(f *testing.F) {
-	frame, err := NewModelSealer().Seal(fuzzKeys(), testBatchFrame(f))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame)
-	fuzzSealerOpen(f, func() Sealer { return NewModelSealer() })
+	fuzzSealerOpen(f, func() Sealer { return NewModelSealer() }, testBatchFrame(f))
 }
 
 // FuzzLinkCipherOpen fuzzes the prepared-cipher open path used by

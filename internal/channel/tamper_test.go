@@ -33,8 +33,7 @@ func testBatchFrame(tb testing.TB) []byte {
 
 // TestModelSealerTamper exhaustively tampers with a 110-byte singleton
 // envelope and a ~2 KB batch frame and requires every variant to be
-// rejected, both by the receiving link's prepared cipher and by the
-// one-shot ModelSealer.Open under the link's keys. It covers every
+// rejected by the receiving link's prepared cipher. It covers every
 // single-bit flip; truncation and extension by 1–64 bytes; each tag word
 // zeroed or replaced by the same word of another envelope's tag; the same
 // bit flipped in two 8-byte words up to four words apart, adjacent ones
@@ -83,9 +82,6 @@ func TestModelSealerTamper(t *testing.T) {
 				if _, err := receiver.OpenRawAppend(nil, mutant); err == nil {
 					t.Fatalf("%s: prepared link accepted the tampered envelope", what)
 				}
-				if _, err := receiver.sealer.Open(receiver.keys, mutant); err == nil {
-					t.Fatalf("%s: ModelSealer.Open accepted the tampered envelope", what)
-				}
 			}
 			mutate := func(f func(m []byte)) []byte {
 				m := append([]byte(nil), env...)
@@ -133,9 +129,6 @@ func TestModelSealerTamper(t *testing.T) {
 			for i, l := range others {
 				if _, err := l.OpenRawAppend(nil, env); err == nil {
 					t.Fatalf("other pair %d: prepared link accepted the envelope", i)
-				}
-				if _, err := l.sealer.Open(l.keys, env); err == nil {
-					t.Fatalf("other pair %d: ModelSealer.Open accepted the envelope", i)
 				}
 			}
 		})

@@ -39,7 +39,7 @@ func fnPkgPath(fn *types.Func) string {
 // may only reach a network Send/Write sink after passing through
 // channel.Seal*/SealEncoded*. Covers the unbatched path (AppendEncode →
 // SealEncodedAppend → Transport.Send) and the batch outbox
-// (AppendBatchEntry → SealBatchAppend → Transport.Send) alike.
+// (AppendBatchEntry → SealEncodedAppend → Transport.Send) alike.
 var sealflowSpec = &flow.Spec{
 	Kind:   "payload plaintext",
 	Advice: "seal with channel.Seal*/SealEncoded* before the transport",

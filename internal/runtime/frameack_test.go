@@ -13,7 +13,7 @@ import (
 // window, the receiver may answer with ONE valueless ACK naming the
 // sealed frame instead of one digest ACK per message, and the sender
 // credits the whole window's trackers through it. Anything that breaks
-// the frame's uniformity — a selective protocol, a mid-frame flush, a
+// the frame's uniformity — a selective protocol, a failed multicast leg, a
 // destination outside the window's cover — must fall back to classic
 // per-message digest ACKs with no change in P4 halting behaviour.
 
@@ -126,35 +126,6 @@ func TestFrameAckSelectiveFallback(t *testing.T) {
 	events, logical := f.ackRecvStats()
 	if events != 4 || logical != 4 {
 		t.Fatalf("sender saw %d ack events carrying %d logical acks, want 4 carrying 4 (per-message fallback)", events, logical)
-	}
-}
-
-// TestFrameAckMidFrameFlushMaterializes: a protocol Flush between the two
-// deliveries of a frame forces the deferred acknowledgment onto the wire
-// as a digest ACK (the unbatched runtime would have sent it already).
-// The second acknowledgment, deferred after the flush, still cannot merge
-// (the flush broke the all-acknowledged accounting), so everything
-// degrades to per-message ACKs — and full credit still arrives.
-func TestFrameAckMidFrameFlushMaterializes(t *testing.T) {
-	f := newFrameAckFixture(t, 4, func(pr *probe, m *wire.Message) {
-		if err := pr.peer.SendAck(m.Sender, m); err != nil {
-			t.Errorf("SendAck: %v", err)
-		}
-		pr.peer.Flush()
-	})
-	if err := f.d.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := f.probes[0].peer.Stats()
-	if st.Halts != 0 {
-		t.Fatalf("sender halted despite full acknowledgment: %+v", st)
-	}
-	if st.AcksReceived != 8 {
-		t.Fatalf("AcksReceived = %d, want 8", st.AcksReceived)
-	}
-	events, logical := f.ackRecvStats()
-	if events != 8 || logical != 8 {
-		t.Fatalf("sender saw %d ack events carrying %d logical acks, want 8 singles (mid-frame flush disables merging)", events, logical)
 	}
 }
 

@@ -50,8 +50,6 @@ type Host interface {
 	Multicast(dsts []wire.NodeID, msg *wire.Message, ackThreshold int) error
 	Send(dst wire.NodeID, msg *wire.Message) error
 	SendAck(dst wire.NodeID, received *wire.Message) error
-	// Flush forces the round-scoped outbox onto the wire immediately.
-	Flush()
 }
 
 var _ Host = (*Peer)(nil)

@@ -363,9 +363,6 @@ func (it *Instance) SendAck(dst wire.NodeID, received *wire.Message) error {
 	return it.mux.peer.SendAck(dst, received)
 }
 
-// Flush forces the shared round-scoped outbox onto the wire.
-func (it *Instance) Flush() { it.mux.peer.Flush() }
-
 // StartRound returns the round the instance was admitted in (0 while it
 // waits in the backlog) — the protocol's absolute round origin.
 func (it *Instance) StartRound() uint32 { return it.startRound }

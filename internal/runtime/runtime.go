@@ -443,8 +443,8 @@ type Peer struct {
 	// side: while a marked frame is being delivered (frameAckOn),
 	// SendAck calls for its messages are deferred into pendAcks; if
 	// every delivered message was acknowledged, one valueless ACK
-	// carrying the frame tag in Seq replaces them all, otherwise (or on
-	// any mid-frame flush) they materialize as classic digest ACKs.
+	// carrying the frame tag in Seq replaces them all, otherwise they
+	// materialize as classic digest ACKs when the frame's delivery ends.
 	winStart       int
 	winMixed       bool
 	winCoverFull   bool
@@ -1023,13 +1023,6 @@ func (p *Peer) copyOutboxRefs() {
 	p.outHasRefs = false
 }
 
-// Flush forces the round-scoped outbox onto the wire immediately: the
-// escape hatch for trusted code that must have its frames in flight
-// before its callback returns (e.g. a protocol that waits on the ACKs
-// of a multicast it just issued). With batching off, or an empty
-// outbox, it is a no-op.
-func (p *Peer) Flush() { p.flushOutbox() }
-
 // flushOutbox seals and sends every dirty outbox buffer: one envelope
 // per destination covering all messages a callback emitted to it. A
 // buffer holding a single message is sent as the bare encoded message —
@@ -1039,12 +1032,6 @@ func (p *Peer) Flush() { p.flushOutbox() }
 // order, which is deterministic, keeping trace streams and simulated
 // network schedules bit-reproducible per seed.
 func (p *Peer) flushOutbox() {
-	if len(p.pendAcks) > 0 {
-		// A mid-delivery flush (halt, stop, or a protocol Flush) must put
-		// the deferred acknowledgments on the wire exactly where the
-		// unbatched runtime would have: before anything that follows.
-		p.materializePendAcks()
-	}
 	if len(p.outDirty) == 0 {
 		p.closeWindow()
 		return
@@ -1320,18 +1307,6 @@ func (p *Peer) finishFrameAcks(clean bool) {
 		p.inCallback = wasIn
 		return
 	}
-	p.emitPendAcks(pend)
-}
-
-// materializePendAcks converts every deferred acknowledgment into its
-// classic per-message digest ACK. It runs when something flushes the
-// outbox mid-frame (halt, stop, protocol Flush): the unbatched runtime
-// would have had those ACKs on the wire already, so they must leave
-// with this flush.
-func (p *Peer) materializePendAcks() {
-	pend := p.pendAcks
-	p.pendAcks = pend[:0]
-	p.frameAckOn = false
 	p.emitPendAcks(pend)
 }
 

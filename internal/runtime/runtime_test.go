@@ -265,6 +265,67 @@ func TestRoundMismatchDropped(t *testing.T) {
 	}
 }
 
+// TestSenderBindingEnforced pins the runtime's sender check, the only
+// one on the receive path: an authenticated message whose Sender names a
+// node other than the link's remote peer is an authentication failure.
+// As a bare frame nothing is delivered; as the second entry of a batch
+// frame the first entry stays delivered and the rest of the frame is cut.
+func TestSenderBindingEnforced(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		honest    bool // send an honest message to the same peer first
+		delivered int
+	}{
+		{"bare", false, 0},
+		{"batch", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDeployment(t, 3, 1)
+			probes := startAll(d, 1)
+			sender := probes[0]
+			sender.onRound = func(rnd uint32) {
+				// Both sends leave in one callback, so with batching on
+				// they share one frame to peer 1.
+				if tc.honest {
+					good := &wire.Message{
+						Type: wire.TypeEcho, Sender: 0, Initiator: 0,
+						Seq: sender.peer.SeqOf(0), Round: rnd, HasValue: true, Value: wire.Value{1},
+					}
+					if err := sender.peer.Send(1, good); err != nil {
+						t.Errorf("Send: %v", err)
+					}
+				}
+				// Sealed by node 0 on its link to node 1, but claims node 2.
+				forged := &wire.Message{
+					Type: wire.TypeEcho, Sender: 2, Initiator: 2,
+					Seq: sender.peer.SeqOf(2), Round: rnd, HasValue: true, Value: wire.Value{2},
+				}
+				if err := sender.peer.Send(1, forged); err != nil {
+					t.Errorf("Send: %v", err)
+				}
+			}
+			if err := d.Run(); err != nil {
+				t.Fatal(err)
+			}
+			recv := probes[1]
+			if st := recv.peer.Stats(); st.AuthFailures != 1 {
+				t.Fatalf("receiver auth failures = %d, want 1", st.AuthFailures)
+			}
+			if len(recv.msgs) != tc.delivered {
+				t.Fatalf("receiver delivered %d messages, want %d", len(recv.msgs), tc.delivered)
+			}
+			for _, m := range recv.msgs {
+				if m.Sender != 0 || m.Value != (wire.Value{1}) {
+					t.Fatalf("receiver delivered %v, want only the honest entry", m)
+				}
+			}
+			if len(probes[2].msgs) != 0 {
+				t.Fatalf("bystander delivered %d messages", len(probes[2].msgs))
+			}
+		})
+	}
+}
+
 // TestEarlyMessageBufferedOneRound pins the live-clock skew tolerance: a
 // message stamped one round ahead of the receiver is not an omission —
 // it parks in the early buffer and is delivered when the round ticks,

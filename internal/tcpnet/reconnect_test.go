@@ -260,6 +260,7 @@ func TestERBEpochAfterRestartOverTCP(t *testing.T) {
 
 	runEpoch := func(epoch int, participants []*restartableNode, value wire.Value) {
 		t.Helper()
+		start := time.Now().Add(startLead)
 		for i, nd := range participants {
 			if nd == nil {
 				continue
@@ -273,7 +274,7 @@ func TestERBEpochAfterRestartOverTCP(t *testing.T) {
 			}
 			nd.probe = &finishProbe{eng: eng, done: make(chan struct{})}
 			peer, probe := nd.peer, nd.probe
-			nd.port.After(0, func() { peer.Start(probe, probe.eng.Rounds()) })
+			nd.port.After(0, func() { peer.StartIn(probe, probe.eng.Rounds(), time.Until(start)) })
 		}
 		deadline := time.After(time.Duration(byz+4) * 2 * delta * 4)
 		for i, nd := range participants {

@@ -83,6 +83,12 @@ func (f *finishProbe) OnRound(rnd uint32)          { f.eng.OnRound(rnd) }
 func (f *finishProbe) OnMessage(msg *wire.Message) { f.eng.OnMessage(msg) }
 func (f *finishProbe) OnFinish()                   { f.eng.OnFinish(); close(f.done) }
 
+// startLead is how far ahead of the agreed start instant the ERB tests
+// arm their peers (Peer.StartIn), as a live deployment does: a peer
+// whose loop had not yet run a plain Start would drop the initiator's
+// round-1 frames, and the initiator would halt for want of ACKs.
+const startLead = 500 * time.Millisecond
+
 func TestERBOverRealTCP(t *testing.T) {
 	// End-to-end: 5 enclaved peers with real AES+HMAC channels over real
 	// TCP sockets on localhost run one ERB broadcast.
@@ -152,11 +158,13 @@ func TestERBOverRealTCP(t *testing.T) {
 			eng.SetInput(wire.Value{0xCA, 0xFE})
 		}
 	}
-	// Start on each node's event loop: peer state is loop-confined.
+	// Start on each node's event loop: peer state is loop-confined. Every
+	// peer is armed for one agreed instant.
+	start := time.Now().Add(startLead)
 	for i := 0; i < n; i++ {
 		i := i
 		ports[i].After(0, func() {
-			peers[i].Start(probes[i], probes[i].eng.Rounds())
+			peers[i].StartIn(probes[i], probes[i].eng.Rounds(), time.Until(start))
 		})
 	}
 

@@ -121,31 +121,6 @@ func TestLinkCipherOpenRejects(t *testing.T) {
 	}
 }
 
-// TestOneShotAppendHelpers checks the keys-only entry points used by the
-// generic Sealer implementations.
-func TestOneShotAppendHelpers(t *testing.T) {
-	keys := testKeys(21)
-	plaintext := []byte("one-shot")
-	env, err := SealAppend(keys, rand.New(rand.NewSource(4)), nil, plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Seal(keys, rand.New(rand.NewSource(4)), plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(env, want) {
-		t.Fatal("one-shot SealAppend differs from Seal")
-	}
-	got, err := OpenAppend(keys, nil, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, plaintext) {
-		t.Fatal("one-shot OpenAppend round trip failed")
-	}
-}
-
 // TestCTRXORMatchesStdlib drives the manual CTR directly against
 // crypto/cipher.NewCTR over many lengths and IVs, including IVs that
 // overflow the low counter bytes mid-message.
